@@ -35,8 +35,10 @@ int main() {
         workload::YcsbWorkload* y;
       } ctx{&ycsb};
       sched::Scheduler::Workload w;
-      w.execute = +[](const sched::Request& req, void* c, int worker) {
-        return static_cast<Ctx*>(c)->y->Execute(req, worker);
+      w.step = +[](const sched::Request& req, void* c, int worker,
+                   sched::StepContext*) {
+        return sched::StepResult{sched::StepStatus::kDone,
+                                 static_cast<Ctx*>(c)->y->Execute(req, worker)};
       };
       w.exec_ctx = &ctx;
       FastRandom gen_rng(42);

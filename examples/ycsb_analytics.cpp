@@ -30,8 +30,10 @@ void Run(sched::Policy policy) {
     workload::YcsbWorkload* y;
   } ctx{&ycsb};
   sched::Scheduler::Workload w;
-  w.execute = +[](const sched::Request& req, void* c, int worker) {
-    return static_cast<Ctx*>(c)->y->Execute(req, worker);
+  w.step = +[](const sched::Request& req, void* c, int worker,
+               sched::StepContext*) {
+    return sched::StepResult{sched::StepStatus::kDone,
+                             static_cast<Ctx*>(c)->y->Execute(req, worker)};
   };
   w.exec_ctx = &ctx;
   FastRandom rng(99);

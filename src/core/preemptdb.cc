@@ -52,9 +52,7 @@ const char* SubmitResultString(SubmitResult r) {
 // the scheduler expires it).
 struct DB::Closure {
   TxnFn fn;
-  std::atomic<Rc>* rc_out = nullptr;       // non-null for SubmitAndWait
-  std::atomic<bool>* done_flag = nullptr;  // set after rc_out
-  uint64_t deadline_ns = 0;                // absolute MonoNanos; 0 = none
+  uint64_t deadline_ns = 0;  // absolute MonoNanos; 0 = none
   RetryPolicy retry;
   CompletionFn on_complete;  // optional; fired once with the terminal Rc
   uint32_t shard_id = 0;     // submitting front-end shard (observational)
@@ -91,7 +89,7 @@ DB::DB(const Options& options) {
   }
   if (options.start_scheduler) {
     sched::Scheduler::Workload workload;
-    workload.execute = &DB::ExecuteThunk;
+    workload.step = &DB::StepThunk;
     workload.exec_ctx = this;
     workload.gen_low = [this](sched::Request* out) {
       return PopSubmission(sched::Priority::kLow, out);
@@ -100,16 +98,17 @@ DB::DB(const Options& options) {
       return PopSubmission(sched::Priority::kHigh, out);
     };
     // Submissions carry owned closures: a shed request must be requeued,
-    // never dropped, or Drain()/SubmitAndWait() would wait forever.
+    // never dropped, or Drain()/SubmitAndWait() would wait forever. It goes
+    // back to the scheduling thread's own list, not the MPMC inbox: this
+    // thread is that inbox's only consumer, so pushing back into a queue
+    // that producers keep full could never succeed.
     workload.on_shed = [this](const sched::Request& r) {
-      auto* c = reinterpret_cast<Closure*>(r.params[0]);
-      while (!hp_submissions_->TryPush(c)) sched_yield();
+      hp_shed_.push_back(reinterpret_cast<Closure*>(r.params[0]));
     };
     // Expired requests are dead, not requeued: complete them as kTimeout so
     // waiters unblock and Drain() still terminates.
     workload.on_expired = [this](const sched::Request& r) {
-      CompleteWithoutRunning(reinterpret_cast<Closure*>(r.params[0]),
-                             Rc::kTimeout);
+      Complete(reinterpret_cast<Closure*>(r.params[0]), Rc::kTimeout);
     };
     scheduler_ =
         std::make_unique<sched::Scheduler>(options.scheduler, workload);
@@ -123,34 +122,29 @@ DB::~DB() {
     Drain();
     scheduler_->Stop();
   }
-  // Free any closures that never ran (engine-only DBs or races at exit).
-  // Completion callbacks still fire — "accepted implies completed" holds
-  // even for a submission that slipped in as the DB shut down.
+  // Complete any closures that never ran (engine-only DBs, shed requests
+  // left over at Stop, or races at exit) — "accepted implies completed"
+  // holds even for a submission that slipped in as the DB shut down.
+  for (Closure* c : hp_shed_) Complete(c, Rc::kError);
+  hp_shed_.clear();
   Closure* c;
-  while (lp_submissions_->TryPop(&c)) {
-    if (c->on_complete) c->on_complete(Rc::kError);
-    delete c;
-  }
-  while (hp_submissions_->TryPop(&c)) {
-    if (c->on_complete) c->on_complete(Rc::kError);
-    delete c;
-  }
+  while (lp_submissions_->TryPop(&c)) Complete(c, Rc::kError);
+  while (hp_submissions_->TryPop(&c)) Complete(c, Rc::kError);
 }
 
-void DB::CompleteWithoutRunning(Closure* c, Rc rc) {
+void DB::Complete(Closure* c, Rc rc) {
   if (rc == Rc::kTimeout) g_txn_timeouts.Add();
-  // Never ran: stamp terminal time so the owner can compute total latency,
-  // but record no run-stage samples (first_run_ns stays 0, which is the
-  // "excluded from stage histograms" marker). Must happen before
-  // on_complete — the owner may free the timeline from the callback.
+  // Terminal timeline bookkeeping, strictly before the completion callback:
+  // once on_complete fires the owner may free the timeline, so this is the
+  // last point it can be touched. A timed-out submission never ran (expiry
+  // is checked only before execution), so it records no run-stage samples.
+  // On a worker the timeline is the thread's active one; clearing the slot
+  // here closes the window where a preemption landing between the free and
+  // the worker's restore could attribute itself to a freed timeline.
   if (c->timeline != nullptr) {
     c->timeline->done_ns = MonoNanos();
-  }
-  if (c->rc_out != nullptr) {
-    c->rc_out->store(rc, std::memory_order_release);
-  }
-  if (c->done_flag != nullptr) {
-    c->done_flag->store(true, std::memory_order_release);
+    if (rc != Rc::kTimeout) obs::RecordSchedStages(*c->timeline);
+    obs::SetActiveTimeline(nullptr);
   }
   if (c->on_complete) c->on_complete(rc);
   delete c;
@@ -158,14 +152,22 @@ void DB::CompleteWithoutRunning(Closure* c, Rc rc) {
 }
 
 bool DB::PopSubmission(sched::Priority priority, sched::Request* out) {
-  auto& q = priority == sched::Priority::kHigh ? *hp_submissions_
-                                               : *lp_submissions_;
+  const bool high = priority == sched::Priority::kHigh;
+  auto& q = high ? *hp_submissions_ : *lp_submissions_;
+  // Shed HP requests go first: they were accepted before anything still in
+  // the inbox.
+  auto next = [&](Closure** c) {
+    if (!high || hp_shed_.empty()) return q.TryPop(c);
+    *c = hp_shed_.front();
+    hp_shed_.pop_front();
+    return true;
+  };
   Closure* c;
-  while (q.TryPop(&c)) {
+  while (next(&c)) {
     // Dequeue-side expiry: work that died waiting in the submission queue
     // never reaches a worker.
     if (c->deadline_ns != 0 && MonoNanos() >= c->deadline_ns) {
-      CompleteWithoutRunning(c, Rc::kTimeout);
+      Complete(c, Rc::kTimeout);
       continue;
     }
     out->type = 0;
@@ -217,43 +219,44 @@ Rc DB::Execute(const TxnFn& fn, const RetryPolicy& retry) {
   return RunWithRetry(fn, retry, reinterpret_cast<uint64_t>(&fn), 0);
 }
 
-Rc DB::ExecuteThunk(const sched::Request& req, void* ctx, int /*worker_id*/) {
+sched::StepResult DB::StepThunk(const sched::Request& req, void* ctx,
+                                int /*worker_id*/, sched::StepContext* /*sc*/) {
   auto* db = static_cast<DB*>(ctx);
   auto* c = reinterpret_cast<Closure*>(req.params[0]);
   // Last-chance expiry: the deadline may have passed between placement and
   // this worker picking the request up. Started transactions are never cut
   // short, so this is the final check.
-  if (req.deadline_ns != 0 && MonoNanos() >= req.deadline_ns) {
-    // The worker installed this request's timeline as the thread's active
-    // one; drop it before completion frees the struct, or an interrupt
-    // landing between the free and the worker's restore would write through
-    // a dangling pointer.
-    if (c->timeline != nullptr) obs::SetActiveTimeline(nullptr);
-    db->CompleteWithoutRunning(c, Rc::kTimeout);
-    return Rc::kTimeout;
+  Rc rc = Rc::kTimeout;
+  if (req.deadline_ns == 0 || MonoNanos() < req.deadline_ns) {
+    rc = db->RunWithRetry(c->fn, c->retry, reinterpret_cast<uint64_t>(c),
+                          req.deadline_ns);
   }
-  Rc rc = db->RunWithRetry(c->fn, c->retry, reinterpret_cast<uint64_t>(c),
-                           req.deadline_ns);
-  // Terminal timeline bookkeeping, strictly before the completion callback:
-  // once on_complete fires the owner may free the timeline, so this is the
-  // last point it can be touched. Clearing the active slot here (rather
-  // than in the worker, which runs after this returns) closes the window
-  // where a preemption could attribute itself to a freed timeline.
+  db->Complete(c, rc);
+  return {sched::StepStatus::kDone, rc};
+}
+
+DB::Closure* DB::NewClosure(sched::Priority priority, TxnFn fn,
+                            CompletionFn on_complete,
+                            const SubmitOptions& options) {
+  auto* c = new Closure{std::move(fn), 0, options.retry,
+                        std::move(on_complete), options.shard_id,
+                        options.timeline};
+  if (options.timeout_us > 0) {
+    c->deadline_ns = MonoNanos() + options.timeout_us * 1000;
+  }
   if (c->timeline != nullptr) {
-    c->timeline->done_ns = MonoNanos();
-    obs::RecordSchedStages(*c->timeline);
-    obs::SetActiveTimeline(nullptr);
+    c->timeline->high_priority = priority == sched::Priority::kHigh ? 1 : 0;
+    c->timeline->enqueue_ns = MonoNanos();
   }
-  if (c->rc_out != nullptr) {
-    c->rc_out->store(rc, std::memory_order_release);
-  }
-  if (c->done_flag != nullptr) {
-    c->done_flag->store(true, std::memory_order_release);
-  }
-  if (c->on_complete) c->on_complete(rc);
-  delete c;
-  db->completed_.fetch_add(1, std::memory_order_release);
-  return rc;
+  return c;
+}
+
+bool DB::Enqueue(sched::Priority priority, Closure* c) {
+  auto& q = priority == sched::Priority::kHigh ? *hp_submissions_
+                                               : *lp_submissions_;
+  if (!q.TryPush(c)) return false;
+  submitted_.fetch_add(1, std::memory_order_release);
+  return true;
 }
 
 SubmitResult DB::Submit(sched::Priority priority, TxnFn fn,
@@ -266,24 +269,13 @@ SubmitResult DB::Submit(sched::Priority priority, TxnFn fn,
                         const SubmitOptions& options) {
   PDB_CHECK_MSG(scheduler_ != nullptr, "DB opened without a scheduler");
   if (stopping_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
-  auto* c = new Closure{std::move(fn), nullptr, nullptr, 0, options.retry,
-                        std::move(on_complete), options.shard_id,
-                        options.timeline};
-  if (options.timeout_us > 0) {
-    c->deadline_ns = MonoNanos() + options.timeout_us * 1000;
-  }
-  if (c->timeline != nullptr) {
-    c->timeline->high_priority = priority == sched::Priority::kHigh ? 1 : 0;
-    c->timeline->enqueue_ns = MonoNanos();
-  }
-  auto& q = priority == sched::Priority::kHigh ? *hp_submissions_
-                                               : *lp_submissions_;
-  if (!q.TryPush(c)) {
+  Closure* c = NewClosure(priority, std::move(fn), std::move(on_complete),
+                          options);
+  if (!Enqueue(priority, c)) {
     delete c;
     g_submit_queue_full.Add();
     return SubmitResult::kQueueFull;
   }
-  submitted_.fetch_add(1, std::memory_order_release);
   return SubmitResult::kAccepted;
 }
 
@@ -292,21 +284,17 @@ Rc DB::SubmitAndWait(sched::Priority priority, TxnFn fn,
   PDB_CHECK_MSG(scheduler_ != nullptr, "DB opened without a scheduler");
   std::atomic<Rc> rc{Rc::kError};
   std::atomic<bool> done{false};
-  auto* c = new Closure{std::move(fn), &rc, &done, 0, options.retry,
-                        CompletionFn(), options.shard_id, options.timeline};
-  if (c->timeline != nullptr) {
-    c->timeline->high_priority = priority == sched::Priority::kHigh ? 1 : 0;
-    c->timeline->enqueue_ns = MonoNanos();
-  }
-  uint64_t deadline_ns = 0;
-  if (options.timeout_us > 0) {
-    deadline_ns = MonoNanos() + options.timeout_us * 1000;
-    c->deadline_ns = deadline_ns;
-  }
-  auto& q = priority == sched::Priority::kHigh ? *hp_submissions_
-                                               : *lp_submissions_;
-  while (!q.TryPush(c)) {
-    if (deadline_ns != 0 && MonoNanos() >= deadline_ns) {
+  Closure* c = NewClosure(
+      priority, std::move(fn),
+      [&rc, &done](Rc r) {
+        rc.store(r, std::memory_order_relaxed);
+        // Last touch of the waiter's stack: it may return right after this.
+        done.store(true, std::memory_order_release);
+      },
+      options);
+  // Backpressure: wait for a queue slot rather than rejecting.
+  while (!Enqueue(priority, c)) {
+    if (c->deadline_ns != 0 && MonoNanos() >= c->deadline_ns) {
       // Never enqueued: safe to free here; nobody else saw the closure.
       delete c;
       g_txn_timeouts.Add();
@@ -314,14 +302,13 @@ Rc DB::SubmitAndWait(sched::Priority priority, TxnFn fn,
     }
     sched_yield();
   }
-  submitted_.fetch_add(1, std::memory_order_release);
   // Once enqueued, ownership is with the pipeline: the waiter must see
-  // done_flag before touching the stack slots again, even past the deadline
-  // (expiry completes the closure as kTimeout and sets the flag).
+  // `done` before its stack slots go away, even past the deadline (expiry
+  // completes the closure as kTimeout, which fires on_complete).
   while (!done.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  return rc.load(std::memory_order_acquire);
+  return rc.load(std::memory_order_relaxed);
 }
 
 Rc DB::SubmitAndWaitFor(sched::Priority priority, TxnFn fn,

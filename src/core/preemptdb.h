@@ -20,6 +20,7 @@
 #ifndef PREEMPTDB_CORE_PREEMPTDB_H_
 #define PREEMPTDB_CORE_PREEMPTDB_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -178,11 +179,20 @@ class DB {
   struct Closure;
 
   explicit DB(const Options& options);
-  static Rc ExecuteThunk(const sched::Request& req, void* ctx, int worker_id);
+  // The scheduler's executor: runs a submission to completion in one step.
+  static sched::StepResult StepThunk(const sched::Request& req, void* ctx,
+                                     int worker_id, sched::StepContext* sc);
+  // Builds the closure of one submission (deadline, timeline stamps).
+  Closure* NewClosure(sched::Priority priority, TxnFn fn,
+                      CompletionFn on_complete, const SubmitOptions& options);
+  // Pushes `c` into its priority's inbox; false when the inbox is full.
+  bool Enqueue(sched::Priority priority, Closure* c);
+  // Scheduling-thread side of the inboxes (gen_low / gen_high).
   bool PopSubmission(sched::Priority priority, sched::Request* out);
-  // Completes `c` without running it (deadline expiry): publishes `rc` to
-  // any waiter, counts it as completed, and frees the closure.
-  void CompleteWithoutRunning(Closure* c, Rc rc);
+  // Terminal step of every accepted submission, run or not: stamps and
+  // folds its timeline, fires on_complete with `rc`, counts it as
+  // completed, and frees the closure.
+  void Complete(Closure* c, Rc rc);
   // Runs `fn` with retry-on-transient-abort semantics; `deadline_ns` bounds
   // backoff sleeps (0 = unbounded).
   Rc RunWithRetry(const TxnFn& fn, const RetryPolicy& retry,
@@ -193,6 +203,10 @@ class DB {
   std::unique_ptr<sched::Scheduler> scheduler_;
   std::unique_ptr<MpmcQueue<Closure*>> lp_submissions_;
   std::unique_ptr<MpmcQueue<Closure*>> hp_submissions_;
+  // HP submissions shed at placement, replayed ahead of the inbox. Touched
+  // only by the scheduling thread (on_shed / gen_high), and by ~DB once that
+  // thread has stopped; holds at most one HP batch.
+  std::deque<Closure*> hp_shed_;
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<bool> stopping_{false};

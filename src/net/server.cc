@@ -588,6 +588,18 @@ Rc Server::DefaultKvHandler(engine::Engine& eng, const RequestHeader& req,
       AppendU64(reply, bytes);
       return Rc::kOk;
     }
+    // Admin and replication opcodes are served by the shard loop itself and
+    // never reach a data handler.
+    case Op::kMetrics:
+    case Op::kHealth:
+    case Op::kTraceSnapshot:
+    case Op::kGetConfig:
+    case Op::kSetConfig:
+    case Op::kReplSubscribe:
+    case Op::kReplSnapshot:
+    case Op::kReplAppend:
+    case Op::kReplAck:
+      break;
   }
   return Rc::kError;  // unreachable: opcodes validated at admission
 }

@@ -31,13 +31,10 @@ class Scheduler {
   struct Workload {
     std::function<bool(Request*)> gen_low;
     std::function<bool(Request*)> gen_high;
-    ExecuteFn execute = nullptr;
-    // Resumable executor (CoroBase-style interleaving). When set, workers
-    // dispatch low-priority work through the slot dispatcher, stepping up to
-    // tunables().interleave_slots() transactions round-robin; `execute` may
-    // be left null (when both are set, `step` wins and `execute` is
-    // ignored). High-priority requests always run to completion in one go
-    // (steps driven back-to-back), so preemption latency is unchanged.
+    // Executor (required). Workers step up to
+    // tunables().interleave_slots() low-priority transactions round-robin;
+    // high-priority requests always run to completion in one go (steps
+    // driven back-to-back), so preemption latency is unchanged.
     StepFn step = nullptr;
     void* exec_ctx = nullptr;
     // Invoked (on the scheduling thread) for each high-priority request

@@ -32,15 +32,38 @@ thread_local Worker* tls_worker = nullptr;
 // pause to the interrupted transaction's timeline. Main-context write,
 // preempt-context read, same thread — no atomics needed.
 thread_local bool tls_entered_via_yield = false;
+
+// Installs a request's timeline as the thread's active one for one step
+// (stamping first_run_ns on its first step) so the preemptive context can
+// attribute a pause to it. The previous active timeline comes back on exit:
+// HP requests run *above* a paused LP transaction whose timeline must come
+// back into effect. Only the pointer is restored — on the final step the
+// executor's completion callback may already have freed *timeline.
+class ActiveTimelineScope {
+ public:
+  explicit ActiveTimelineScope(obs::TxnTimeline* tl) : tl_(tl) {
+    if (tl_ == nullptr) return;
+    if (tl_->first_run_ns == 0) tl_->first_run_ns = MonoNanos();
+    prev_ = obs::SetActiveTimeline(tl_);
+  }
+  ~ActiveTimelineScope() {
+    if (tl_ != nullptr) obs::SetActiveTimeline(prev_);
+  }
+  PDB_DISALLOW_COPY_AND_ASSIGN(ActiveTimelineScope);
+
+ private:
+  obs::TxnTimeline* const tl_;
+  obs::TxnTimeline* prev_ = nullptr;
+};
+
 }  // namespace
 
 Worker::Worker(int id, const SchedulerConfig& config,
-               const TunableConfig* tunables, ExecuteFn execute, StepFn step,
-               void* exec_ctx, Metrics* metrics)
+               const TunableConfig* tunables, StepFn step, void* exec_ctx,
+               Metrics* metrics)
     : id_(id),
       config_(config),
       tunables_(tunables),
-      execute_(execute),
       step_(step),
       exec_ctx_(exec_ctx),
       metrics_(metrics),
@@ -84,8 +107,8 @@ void Worker::ThreadBody() {
                                             uintr::kDefaultFiberStackBytes,
                                             config_.pending_mode),
                     std::memory_order_release);
-    // Delivery is enabled only while a low-priority transaction runs
-    // (Stui/Clui brackets in MainLoop).
+    // Delivery is enabled only while a low-priority step runs (Stui/Clui
+    // brackets in MainLoop).
     uintr::Clui();
   }
   if (config_.policy == Policy::kCooperative) {
@@ -112,41 +135,7 @@ void Worker::ThreadBody() {
   }
 }
 
-void Worker::RunRequest(const Request& req, bool count_starvation) {
-  // arg = submitting shard so sharded-front-end traces attribute each txn to
-  // the event loop that admitted it (0 for single-shard / non-net work).
-  obs::Trace(obs::EventType::kTxnStart, req.type, req.shard_id);
-  // Timeline bookkeeping happens strictly before execute_: once the
-  // executor fires the completion callback (inside execute_), the timeline's
-  // owner may free it, so nothing here may touch *req.timeline afterwards —
-  // only the thread-local pointer is restored. The previous active timeline
-  // is preserved because the preemptive context runs HP requests *above* a
-  // paused LP transaction whose timeline must come back into effect.
-  obs::TxnTimeline* prev_tl = nullptr;
-  if (req.timeline != nullptr) {
-    if (req.timeline->first_run_ns == 0) {
-      req.timeline->first_run_ns = MonoNanos();
-    }
-    prev_tl = obs::SetActiveTimeline(req.timeline);
-  }
-  uint64_t c0 = count_starvation ? RdtscP() : 0;
-  Rc rc;
-  if (step_ == nullptr) {
-    rc = execute_(req, exec_ctx_, id_);
-  } else {
-    // StepFn workload: drive the resumable executor to completion
-    // back-to-back. High-priority requests take this route, so a StepFn
-    // workload needs no separate one-shot executor and preemption latency
-    // is unchanged (no sibling work is interposed here).
-    StepContext sc;
-    StepResult sr;
-    do {
-      sr = step_(req, exec_ctx_, id_, &sc);
-      ++sc.steps;
-    } while (sr.status != StepStatus::kDone);
-    rc = sr.rc;
-  }
-  if (req.timeline != nullptr) obs::SetActiveTimeline(prev_tl);
+void Worker::RecordDone(const Request& req, Rc rc) {
   uint64_t done = MonoNanos();
   metrics_->Record(req.type, req.gen_ns, done, rc);
   if (IsOk(rc)) {
@@ -154,6 +143,25 @@ void Worker::RunRequest(const Request& req, bool count_starvation) {
   } else {
     obs::Trace(obs::EventType::kTxnAbort, req.type);
   }
+}
+
+void Worker::RunRequest(const Request& req, bool count_starvation) {
+  // arg = submitting shard so sharded-front-end traces attribute each txn to
+  // the event loop that admitted it (0 for single-shard / non-net work).
+  obs::Trace(obs::EventType::kTxnStart, req.type, req.shard_id);
+  uint64_t c0 = count_starvation ? RdtscP() : 0;
+  StepResult sr;
+  {
+    // Drive the executor to completion back-to-back: no sibling work is
+    // interposed, so preemption latency does not depend on slot depth.
+    ActiveTimelineScope tl(req.timeline);
+    StepContext sc;
+    do {
+      sr = step_(req, exec_ctx_, id_, &sc);
+      ++sc.steps;
+    } while (sr.status != StepStatus::kDone);
+  }
+  RecordDone(req, sr.rc);
   if (count_starvation) {
     th_cycles_.fetch_add(RdtscP() - c0, std::memory_order_relaxed);
   }
@@ -177,83 +185,20 @@ bool Worker::StarvationExceeded() const {
 }
 
 void Worker::MainLoop() {
-  if (step_ != nullptr) {
-    InterleaveLoop();
-    return;
-  }
-  // Regular-path queue preference (paper §4.1): under Wait/Cooperative the
-  // worker checks the high-priority queue first at every transaction
-  // boundary and exhausts it before the next Q2 — that is the only way HP
-  // work runs at all. Under PreemptDB the regular path serves low-priority
-  // transactions (HP work arrives via preemption, Fig. 5 path 1) and falls
-  // back to the HP queue only when no LP work exists (path 2, e.g. after a
-  // dropped interrupt); preferring HP here would let a constant HP stream
-  // keep Q2 from ever *starting*, which no starvation threshold could fix.
-  // A degraded preempt worker flips to the cooperative preference at runtime:
-  // with its interrupts undeliverable, boundary checks are the only way HP
-  // work starts promptly.
-  const bool policy_prefers_hp = config_.policy != Policy::kPreempt;
-  int idle_polls = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    const bool prefer_hp =
-        policy_prefers_hp || degraded_.load(std::memory_order_relaxed);
-    Request req;
-    auto try_hp = [&] {
-      // The drain is wrapped in a non-preemptible region so an interrupt
-      // arriving here is dropped rather than stacking a second drain on
-      // top of this one.
-      uintr::NonPreemptibleRegion guard;
-      return hp_queue_.TryPop(&req);
-    };
-    auto run_hp = [&] {
-      idle_polls = 0;
-      obs::Trace(obs::EventType::kHpDequeue, /*popped_by_preempt=*/0);
-      RunRequest(req, /*count_starvation=*/false);
-      hp_executed_.fetch_add(1, std::memory_order_relaxed);
-    };
-    if (prefer_hp && try_hp()) {
-      run_hp();
-      continue;
-    }
-    if (lp_queue_.TryPop(&req)) {
-      idle_polls = 0;
-      // Start-of-LP bookkeeping (paper Fig. 7): record T0, reset T_h.
-      th_cycles_.store(0, std::memory_order_release);
-      t0_cycles_.store(RdtscP(), std::memory_order_release);
-      // Interrupts are meaningful only while a low-priority transaction is
-      // in progress — that is what preemption pauses. Masking delivery
-      // outside this window (clui/stui, §2.3) keeps a saturating
-      // high-priority stream from interrupt-storming the regular path so
-      // hard that it never reaches the next low-priority transaction.
-      uintr::Stui();
-      RunRequest(req, /*count_starvation=*/false);
-      uintr::Clui();
-      t0_cycles_.store(0, std::memory_order_release);
-      lp_executed_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (!prefer_hp && try_hp()) {
-      run_hp();
-      continue;
-    }
-    idle_polls = idle_polls < 1000 ? idle_polls + 1 : idle_polls;
-    if (idle_polls > 100) {
-      // Deep idle: sleep instead of spinning so active threads (and signal
-      // deliveries) get the core promptly on small machines.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    } else {
-      sched_yield();
-    }
-  }
-}
-
-void Worker::InterleaveLoop() {
-  // Interleaving variant of MainLoop (step_ != nullptr). The queue
-  // preference rules are the legacy loop's, applied at dispatch-round
-  // boundaries: every active slot is suspended between rounds, so running a
-  // high-priority request to completion there is exactly the cooperative
-  // yield-point behaviour (HP work nests above paused LP transactions that
-  // hold no latches at suspension points).
+  // Regular-path queue preference (paper §4.1), applied at dispatch-round
+  // boundaries: under Wait/Cooperative the worker checks the high-priority
+  // queue first at every round and exhausts it before stepping LP slots —
+  // that is the only way HP work runs at all. Under PreemptDB the regular
+  // path serves low-priority transactions (HP work arrives via preemption,
+  // Fig. 5 path 1) and falls back to the HP queue only when no LP work
+  // exists (path 2, e.g. after a dropped interrupt); preferring HP here
+  // would let a constant HP stream keep Q2 from ever *starting*, which no
+  // starvation threshold could fix. A degraded preempt worker flips to the
+  // cooperative preference at runtime: with its interrupts undeliverable,
+  // boundary checks are the only way HP work starts promptly. Every active
+  // slot is suspended between rounds, so an HP request run there nests
+  // above paused LP transactions that hold no latches, exactly like a
+  // cooperative yield point.
   const bool policy_prefers_hp = config_.policy != Policy::kPreempt;
 
   struct Slot {
@@ -273,24 +218,26 @@ void Worker::InterleaveLoop() {
   size_t rr = 0;  // round-robin start cursor, advanced once per round
   int idle_polls = 0;
 
+  auto run_queued_hp = [&] {
+    Request req;
+    {
+      // The pop is wrapped in a non-preemptible region so an interrupt
+      // arriving here is dropped rather than stacking a second drain on
+      // top of this one.
+      uintr::NonPreemptibleRegion guard;
+      if (!hp_queue_.TryPop(&req)) return false;
+    }
+    idle_polls = 0;
+    obs::Trace(obs::EventType::kHpDequeue, /*popped_by_preempt=*/0);
+    RunRequest(req, /*count_starvation=*/false);
+    hp_executed_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+
   while (!stop_.load(std::memory_order_acquire) || active > 0) {
     const bool prefer_hp =
         policy_prefers_hp || degraded_.load(std::memory_order_relaxed);
-    Request hp_req;
-    auto try_hp = [&] {
-      uintr::NonPreemptibleRegion guard;
-      return hp_queue_.TryPop(&hp_req);
-    };
-    auto run_hp = [&] {
-      idle_polls = 0;
-      obs::Trace(obs::EventType::kHpDequeue, /*popped_by_preempt=*/0);
-      RunRequest(hp_req, /*count_starvation=*/false);
-      hp_executed_.fetch_add(1, std::memory_order_relaxed);
-    };
-    if (prefer_hp && try_hp()) {
-      run_hp();
-      continue;
-    }
+    if (prefer_hp && run_queued_hp()) continue;
 
     // Refill free slots up to the live interleave depth. Depth shrink takes
     // effect by attrition (extra active slots finish and are not refilled).
@@ -325,36 +272,25 @@ void Worker::InterleaveLoop() {
         size_t idx = (rr + i) % kInterleaveSlotsMax;
         Slot& s = slots[idx];
         if (!s.active) continue;
-        // Timeline bookkeeping per step: between steps another slot's
-        // transaction owns the thread's active timeline, so install/restore
-        // brackets every step. Restores only the pointer — on the final
-        // step the executor's completion callback may have freed *timeline.
-        obs::TxnTimeline* prev_tl = nullptr;
-        if (s.req.timeline != nullptr) {
-          if (s.req.timeline->first_run_ns == 0) {
-            s.req.timeline->first_run_ns = MonoNanos();
-          }
-          prev_tl = obs::SetActiveTimeline(s.req.timeline);
+        StepResult sr;
+        {
+          // Between steps another slot's transaction owns the thread's
+          // active timeline, so install/restore brackets every step.
+          ActiveTimelineScope tl(s.req.timeline);
+          // Interrupts are meaningful only while a low-priority step runs —
+          // that is what preemption pauses, and the starvation drain in
+          // PreemptLoop accounts its cycles into the current t0/th window.
+          // Masking delivery outside this window (clui/stui, §2.3) keeps a
+          // saturating high-priority stream from interrupt-storming the
+          // regular path so hard that it never reaches the next step.
+          uintr::Stui();
+          sr = step_(s.req, exec_ctx_, id_, &s.sc);
+          uintr::Clui();
         }
-        // Interrupt delivery is enabled exactly while a low-priority step
-        // runs (same Stui/Clui window as the legacy loop's RunRequest): a
-        // preempt pauses whichever slot is live and the starvation drain in
-        // PreemptLoop accounts its cycles into the current t0/th window.
-        uintr::Stui();
-        StepResult sr = step_(s.req, exec_ctx_, id_, &s.sc);
-        uintr::Clui();
         ++s.sc.steps;
         ++stepped;
-        if (s.req.timeline != nullptr) obs::SetActiveTimeline(prev_tl);
         if (sr.status == StepStatus::kDone) {
-          uint64_t done = MonoNanos();
-          metrics_->Record(s.req.type, s.req.gen_ns, done, sr.rc);
-          if (IsOk(sr.rc)) {
-            obs::Trace(obs::EventType::kTxnCommit, s.req.type,
-                       done - s.req.gen_ns);
-          } else {
-            obs::Trace(obs::EventType::kTxnAbort, s.req.type);
-          }
+          RecordDone(s.req, sr.rc);
           g_ilv_txns.Add();
           g_ilv_prefetch.Add(s.sc.prefetches);
           s.active = false;
@@ -393,12 +329,11 @@ void Worker::InterleaveLoop() {
       continue;
     }
 
-    if (!prefer_hp && try_hp()) {
-      run_hp();
-      continue;
-    }
+    if (!prefer_hp && run_queued_hp()) continue;
     idle_polls = idle_polls < 1000 ? idle_polls + 1 : idle_polls;
     if (idle_polls > 100) {
+      // Deep idle: sleep instead of spinning so active threads (and signal
+      // deliveries) get the core promptly on small machines.
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     } else {
       sched_yield();

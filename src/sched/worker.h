@@ -1,9 +1,10 @@
 // Worker threads (paper Fig. 5): each worker owns a low- and a high-priority
 // scheduling queue and two transaction contexts. The main context runs the
-// regular scheduling path; the preemptive context is entered either by a
-// user interrupt (PreemptDB policy) or voluntarily at yield points
-// (Cooperative policy), drains the high-priority queue subject to the
-// starvation-prevention policy, and swaps back.
+// one regular scheduling path (MainLoop), which steps low-priority
+// transactions through a small slot array; the preemptive context is
+// entered either by a user interrupt (PreemptDB policy) or voluntarily at
+// yield points (Cooperative policy), drains the high-priority queue subject
+// to the starvation-prevention policy, and swaps back.
 #ifndef PREEMPTDB_SCHED_WORKER_H_
 #define PREEMPTDB_SCHED_WORKER_H_
 
@@ -23,12 +24,10 @@ class Worker {
  public:
   // `tunables` is the owning scheduler's runtime knob registry (outlives the
   // worker); the worker reads the starvation knobs from it on every drain
-  // and the interleave depth on every slot refill. Exactly one of
-  // `execute` / `step` must be non-null for the worker to run work; when
-  // `step` is set the main loop dispatches low-priority transactions through
-  // the interleaving slot array (see InterleaveLoop).
+  // and the interleave depth on every slot refill. `step` runs every
+  // request, low- and high-priority alike.
   Worker(int id, const SchedulerConfig& config, const TunableConfig* tunables,
-         ExecuteFn execute, StepFn step, void* exec_ctx, Metrics* metrics);
+         StepFn step, void* exec_ctx, Metrics* metrics);
   ~Worker();
   PDB_DISALLOW_COPY_AND_ASSIGN(Worker);
 
@@ -88,21 +87,24 @@ class Worker {
   static void YieldHookThunk();
 
   void ThreadBody();
+  // The regular scheduling path (context 1), a CoroBase-style interleaving
+  // dispatcher: round-robins up to tunables->interleave_slots() resumable
+  // low-priority transactions over a fixed slot array, one step per slot
+  // per round, so a stalled slot's sibling runs while the stalled one's
+  // prefetched line arrives. Delivery is enabled (Stui/Clui) only while a
+  // low-priority step runs, and the t0/th starvation window follows one
+  // resident slot. At depth 1 a run-to-completion transaction is one step.
   void MainLoop();
-  // CoroBase-style interleaving dispatcher (MainLoop body when a StepFn is
-  // installed): round-robins up to tunables->interleave_slots() resumable
-  // low-priority transactions over a fixed slot array so a stalled slot's
-  // sibling runs while the stalled one's prefetched line arrives. Preserves
-  // the legacy loop's Stui/Clui brackets (per step), t0/th starvation
-  // window (per oldest-active-slot), and HP queue preference rules.
-  void InterleaveLoop();
   void PreemptLoop();  // context-2 body; never returns
   void YieldHook();    // cooperative yield point
 
-  // Runs one request and records metrics. `count_starvation` accumulates
-  // its cycles into T_h (used when running in the preemptive context above a
-  // paused low-priority transaction).
+  // Runs one high-priority request to completion and records it.
+  // `count_starvation` accumulates its cycles into T_h (used when running in
+  // the preemptive context above a paused low-priority transaction).
   void RunRequest(const Request& req, bool count_starvation);
+  // Completion bookkeeping shared by HP requests and LP slots: latency /
+  // outcome metrics, then a commit or abort trace event.
+  void RecordDone(const Request& req, Rc rc);
 
   // True if the starvation threshold forbids running more high-priority
   // work on this worker right now.
@@ -111,7 +113,6 @@ class Worker {
   const int id_;
   const SchedulerConfig& config_;
   const TunableConfig* const tunables_;
-  const ExecuteFn execute_;
   const StepFn step_;
   void* const exec_ctx_;
   Metrics* const metrics_;

@@ -35,13 +35,13 @@ class MvccTest : public ::testing::Test {
   }
 
   std::string Get(index::Key k, IsolationLevel iso = IsolationLevel::kSnapshot,
-                  Rc* rc_out = nullptr) {
+                  Rc* read_rc = nullptr) {
     Transaction* txn = engine_.Begin(iso);
     Slice s;
     Rc rc = txn->Read(table_, k, &s);
     std::string result = IsOk(rc) ? s.ToString() : "";
     txn->Commit();
-    if (rc_out != nullptr) *rc_out = rc;
+    if (read_rc != nullptr) *read_rc = rc;
     return result;
   }
 

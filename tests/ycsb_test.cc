@@ -126,8 +126,10 @@ TEST(YcsbSched, PreemptionServesPointTxnsDuringScans) {
     YcsbWorkload* ycsb;
   } ctx{&ycsb};
   sched::Scheduler::Workload w;
-  w.execute = +[](const sched::Request& req, void* c, int worker) {
-    return static_cast<Ctx*>(c)->ycsb->Execute(req, worker);
+  w.step = +[](const sched::Request& req, void* c, int worker,
+               sched::StepContext*) {
+    return sched::StepResult{sched::StepStatus::kDone,
+                             static_cast<Ctx*>(c)->ycsb->Execute(req, worker)};
   };
   w.exec_ctx = &ctx;
   static thread_local FastRandom gen_rng(7);
